@@ -26,9 +26,10 @@ sim      the machine's sync-primitive tables (mutex, condvar, rwlock,
          detection
 jobs     ``DiagnosisJobQueue``: dedup, backpressure, result caching, and
          bounded bookkeeping after completion
-collect  step-8 transport differential: serial ≡ thread-parallel ≡
-         batched-through-the-wire-codec evidence, adaptive stopping
-         invariant across transports, digest equality of the diagnoses
+collect  step-8 transport differential: a one-request-at-a-time
+         reference loop ≡ in-process waves ≡ waves through the wire
+         codec, under fixed and adaptive stopping, plus digest equality
+         of the diagnoses
 e2e      a full client/server diagnosis of a generated bug under the
          checkpoint observer, plus cache-on ≡ cache-off ≡ cache-warm and
          fleet-wire ≡ in-process digest equality, against ground truth
@@ -669,14 +670,28 @@ def run_jobs(case: CheckCase) -> None:
 # -- collect: step 8 transport/stopping differential -------------------------
 
 
+def _reference_collect(server, client, uid, start_seed, failing_sample=None):
+    """Step 8 one request at a time, straight through the collection
+    policy: the evidence every wave transport must reproduce."""
+    from repro.runtime.server import _CollectionState
+
+    state = _CollectionState(
+        server, uid, start_seed, server._make_stop_rule(failing_sample)
+    )
+    while not state.done:
+        request = state.speculate(0)
+        state.consume(request, server.handle_trace_request(client, request))
+    return state.samples
+
+
 def run_collect(case: CheckCase) -> None:
     """Evidence equivalence across every trace-collection transport.
 
-    The pipelining contract: serial, thread-parallel, and batched
-    (round-tripped through the wire codec, like a real fleet frame)
-    collection must produce byte-identical evidence, and the adaptive
-    stopping rule must be a pure function of the sample prefix — the
-    serial and batched adaptive runs must agree with each other too.
+    The pipelining contract: in-process waves and waves round-tripped
+    through the wire codec (like a real fleet frame) must produce the
+    evidence of the one-request-at-a-time reference loop byte for byte,
+    under fixed stopping and under adaptive stopping — whose rule must
+    be a pure function of the sample prefix.
     """
     from repro import api
     from repro.fleet.server import report_digest
@@ -733,73 +748,58 @@ def run_collect(case: CheckCase) -> None:
             (s.label, s.failing, s.buffers, s.positions) for s in samples
         ]
 
-    serial = make_server()
-    base_samples = serial.collect_successful_traces(client, uid, start_seed)
-    families = [("serial", serial, base_samples)]
-    par = make_server(collection_parallelism=3)
-    families.append(
-        ("parallel", par, par.collect_successful_traces(client, uid, start_seed))
-    )
-    batched = make_server()
-    families.append(
-        (
-            "batched-wire",
-            batched,
-            batched.collect_traces_via(
-                lambda req: batched.handle_trace_request(client, req),
-                uid,
-                start_seed,
-                send_batch=batch_transport(batched),
-            ),
-        )
-    )
-    want = evidence(base_samples)
-    for label, server, samples in families[1:]:
-        if evidence(samples) != want:
-            raise InvariantViolation(
-                "collect-evidence-equal",
-                f"{label} collection diverged from serial: "
-                f"{[s.label for s in samples]} vs "
-                f"{[s.label for s in base_samples]}",
-            )
-        if server.stats.success_traces != serial.stats.success_traces:
-            raise InvariantViolation(
-                "collect-stats-equal",
-                f"{label} counted {server.stats.success_traces} successes, "
-                f"serial counted {serial.stats.success_traces}",
-            )
-    failing_sample = serial.sample_from_run("failure", failing_run)
+    def families(failing_sample=None, **kw):
+        """(label, server, samples) for the reference and each transport."""
+        reference, in_process, batched = (make_server(**kw) for _ in range(3))
+        return [
+            ("reference", reference, _reference_collect(
+                reference, client, uid, start_seed, failing_sample
+            )),
+            ("in-process", in_process, in_process.collect_successful_traces(
+                client, uid, start_seed, failing_sample=failing_sample
+            )),
+            ("batched-wire", batched, batched.collect_traces_via(
+                batch_transport(batched), uid, start_seed,
+                failing_sample=failing_sample,
+            )),
+        ]
+
+    def check_equal(found, prefix=""):
+        _, reference, want = found[0]
+        for label, server, samples in found[1:]:
+            if evidence(samples) != evidence(want):
+                raise InvariantViolation(
+                    f"{prefix}collect-evidence-equal",
+                    f"{prefix}{label} collection diverged from the reference "
+                    f"loop: {[s.label for s in samples]} vs "
+                    f"{[s.label for s in want]}",
+                )
+            if server.stats.success_traces != reference.stats.success_traces:
+                raise InvariantViolation(
+                    f"{prefix}collect-stats-equal",
+                    f"{prefix}{label} counted {server.stats.success_traces} "
+                    f"successes, the reference loop counted "
+                    f"{reference.stats.success_traces}",
+                )
+
+    fixed = families()
+    check_equal(fixed)
+    base_samples = fixed[0][2]
+    failing_sample = fixed[0][1].sample_from_run("failure", failing_run)
     if p.get("adaptive_check", 1):
         # adaptive stopping must depend only on the sample prefix, never
-        # on the transport that delivered it
-        adaptive = {}
-        for label, send_batch_of in (
-            ("adaptive-serial", lambda s: None),
-            ("adaptive-batched", batch_transport),
-        ):
-            server = make_server(stopping="stable-top", adaptive_min_traces=3)
-            adaptive[label] = server.collect_traces_via(
-                lambda req, s=server: s.handle_trace_request(client, req),
-                uid,
-                start_seed,
-                send_batch=send_batch_of(server),
-                failing_sample=failing_sample,
-            )
-        if evidence(adaptive["adaptive-serial"]) != evidence(
-            adaptive["adaptive-batched"]
-        ):
-            raise InvariantViolation(
-                "adaptive-transport-invariant",
-                "adaptive stopping collected different evidence over "
-                "serial vs batched transport: "
-                f"{[s.label for s in adaptive['adaptive-serial']]} vs "
-                f"{[s.label for s in adaptive['adaptive-batched']]}",
-            )
+        # on the transport that delivered it or the wave size
+        check_equal(
+            families(
+                failing_sample, stopping="stable-top", adaptive_min_traces=3
+            ),
+            prefix="adaptive-",
+        )
     if p.get("digest_check", 1):
         digest = report_digest(
             api.diagnose(module, traces=[failing_sample, *base_samples]).report
         )
-        for label, _server, samples in families[1:]:
+        for label, _server, samples in fixed[1:]:
             again = api.diagnose(module, traces=[failing_sample, *samples])
             invariants.check_digest_match(
                 digest, report_digest(again.report), label

@@ -166,8 +166,8 @@ class StabilityStopRule:
     ``evaluate`` maps the successful samples gathered so far to the
     current top signature (or ``None`` when no diagnosis emerges yet);
     it must be a pure function of the sample prefix, which makes the stop
-    decision — and therefore the collected evidence — identical across
-    serial, thread-parallel, and batched transports.
+    decision — and therefore the collected evidence — independent of the
+    transport and of the wave size.
     """
 
     evaluate: Callable[[list], object]

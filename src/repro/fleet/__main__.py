@@ -4,9 +4,10 @@ Spins up the fleet server plus N endpoint agents over real TCP sockets,
 lets several endpoints per bug hit their corpus bug and report it, and
 prints the fleet-wide diagnoses and service metrics.
 
-Exit codes: 0 clean; 1 agent errors; 2 a fleet digest diverged from the
-in-process diagnosis of the same bug (the correctness tripwire —
-disable with ``--no-verify-digests``).
+Exit codes: 0 clean; 1 agent errors; 2 bad input (e.g. an unknown bug
+id), or a fleet digest diverged from the in-process diagnosis of the
+same bug (the correctness tripwire — disable with
+``--no-verify-digests``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.corpus import bug as corpus_bug
+from repro.errors import ReproError
 from repro.fleet.chaos import FaultPlan
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.simulation import DEFAULT_BUGS, FleetConfig, run_fleet
@@ -28,7 +31,6 @@ def _verify_digests(result, metrics, config) -> list[str]:
     the evidence-equivalence contract says transport must not change
     the evidence, but the stopping *rule* legitimately does.
     """
-    from repro.corpus import bug as corpus_bug
     from repro.fleet.server import report_digest
     from repro.runtime import SnorlaxClient, SnorlaxServer
 
@@ -98,26 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-cache",
         action="store_true",
         help="disable the analysis/trace caches (ablation)",
-    )
-    parser.add_argument(
-        "--collect-parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="speculate N trace-collection requests concurrently per diagnosis",
-    )
-    parser.add_argument(
-        "--no-batch-collect",
-        action="store_true",
-        help="send trace-collection waves one request per frame instead "
-        "of batched frames (the pre-pipelining wire behavior)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=int,
-        default=8,
-        metavar="N",
-        help="max batched trace requests per agent per round",
     )
     parser.add_argument(
         "--adaptive-traces",
@@ -267,6 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the in-process digest cross-check",
     )
     args = parser.parse_args(argv)
+    bug_ids = tuple(b.strip() for b in args.bugs.split(",") if b.strip())
+    try:
+        for bug_id in bug_ids:
+            corpus_bug(bug_id)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     plan = FaultPlan(
         seed=args.chaos_seed,
@@ -284,15 +273,12 @@ def main(argv: list[str] | None = None) -> int:
         metrics_port = 0  # the scrape artifact needs a live endpoint
     config = FleetConfig(
         agents=args.agents,
-        bug_ids=tuple(b.strip() for b in args.bugs.split(",") if b.strip()),
+        bug_ids=bug_ids,
         reporters_per_bug=args.reporters,
         workers=args.workers,
         max_pending=args.max_pending,
         success_traces_wanted=args.traces,
         cache_enabled=not args.no_cache,
-        collection_parallelism=args.collect_parallel,
-        collection_batching=not args.no_batch_collect,
-        collection_batch_window=args.batch_window,
         stopping="stable-top" if args.adaptive_traces else "fixed",
         stability_window=args.stability_window,
         validate=args.validate,

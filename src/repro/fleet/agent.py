@@ -200,9 +200,7 @@ class FleetAgent:
                 if frame is None:
                     continue
                 msg, request_id = frame
-                if isinstance(msg, TraceRequest):
-                    self._serve_trace_request(msg, request_id)
-                elif isinstance(msg, TraceBatchRequest):
+                if isinstance(msg, TraceBatchRequest):
                     self._serve_trace_batch(msg, request_id)
                 # anything else while idle (late results for a signature
                 # we also reported) is informational; drop it
@@ -223,9 +221,6 @@ class FleetAgent:
         return TraceResponse(
             label=request.label, outcome=run.result.outcome, sample=sample
         )
-
-    def _serve_trace_request(self, request: TraceRequest, request_id: int) -> None:
-        self._send(self._run_trace_request(request), request_id)
 
     def _serve_trace_batch(self, batch: TraceBatchRequest, request_id: int) -> None:
         """Run a whole speculative wave chunk and answer with one frame.
@@ -296,10 +291,8 @@ class FleetAgent:
                 if frame is None:
                     continue
                 msg, request_id = frame
-                if isinstance(msg, TraceRequest):
+                if isinstance(msg, TraceBatchRequest):
                     # the reporting endpoint still serves step-8 collection
-                    self._serve_trace_request(msg, request_id)
-                elif isinstance(msg, TraceBatchRequest):
                     self._serve_trace_batch(msg, request_id)
                 elif isinstance(msg, DiagnosisResult):
                     return msg
@@ -442,10 +435,7 @@ class MonitorLoop:
             if frame is None:
                 return
             msg, request_id = frame
-            if isinstance(msg, TraceRequest):
-                self.agent._serve_trace_request(msg, request_id)
-                self.trace_requests_served += 1
-            elif isinstance(msg, TraceBatchRequest):
+            if isinstance(msg, TraceBatchRequest):
                 self.agent._serve_trace_batch(msg, request_id)
                 self.trace_requests_served += len(msg.requests)
             # DiagnosisResult / WireFault while monitoring are

@@ -20,8 +20,9 @@ frame granularity:
   rejects it on the far side) or in inbound bytes;
 * **truncate** — send a prefix of the frame, then cut the connection
   (what a peer dying mid-``send`` looks like);
-* **drop** — swallow an outbound ``TraceResponse`` whole (the server's
-  per-request timeout fires and the request is rerouted);
+* **drop** — swallow an outbound frame whole, e.g. a
+  ``TraceBatchResponse`` (the server's reply timeout fires and the
+  chunk is rerouted);
 * **delay / slow link** — sleep before a send, or pace bytes at a
   configured throughput;
 * **crash** — the agent process dies right before answering a trace
@@ -54,11 +55,9 @@ from repro.fleet.wire import HEADER_SIZE, MsgType, decode_header
 _NEVER_DROPPED = frozenset(
     {MsgType.HELLO, MsgType.FAILURE, MsgType.GOODBYE}
 )
-# "dies right before answering": both the single-response frame and the
-# batched wave frame count as answering a trace request
-_ANSWER_FRAMES = frozenset(
-    {MsgType.TRACE_RESPONSE, MsgType.TRACE_BATCH_RESPONSE}
-)
+# "dies right before answering": the batch response answers every trace
+# request of its chunk
+_ANSWER_FRAMES = frozenset({MsgType.TRACE_BATCH_RESPONSE})
 
 
 class AgentCrashed(ConnectionError):
@@ -82,7 +81,7 @@ class FaultPlan:
     seed: int = 0
     corrupt_rate: float = 0.0  # flip a byte in an outbound frame
     truncate_rate: float = 0.0  # cut the frame (and the connection) short
-    drop_rate: float = 0.0  # swallow an outbound TraceResponse whole
+    drop_rate: float = 0.0  # swallow an outbound frame whole
     delay_rate: float = 0.0  # sleep before sending a frame
     max_delay_s: float = 0.05  # uniform(0, max) per delayed frame
     inbound_corrupt_rate: float = 0.0  # flip a byte in received chunks
@@ -171,7 +170,7 @@ class FaultEngine:
             )
         if msg_type not in _NEVER_DROPPED and self._roll(plan.drop_rate):
             self.counts["dropped"] += 1
-            return  # the far side's per-request timeout reroutes it
+            return  # the far side's reply timeout reroutes it
         if self._roll(plan.truncate_rate) and len(data) > 1:
             self.counts["truncated"] += 1
             cut = self.rng.randrange(1, len(data))
@@ -206,7 +205,7 @@ class ChaosSocket:
     uses (``sendall``/``recv``/``settimeout``/``close``).  Each
     ``sendall`` is one wire frame — the agent sends whole frames — so
     faults land on frame boundaries, the granularity the wire codec's
-    crc32 and the server's per-request timeout are built to absorb.
+    crc32 and the server's reply timeout are built to absorb.
     """
 
     def __init__(self, sock: socket.socket, engine: FaultEngine):

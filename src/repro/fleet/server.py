@@ -4,10 +4,11 @@ This is Figure 2's deployment model made concrete: an asyncio TCP
 server accepts connections from endpoint agents, receives
 ``FailureEnvelope``s (step 1), and — per failure signature — runs the
 existing single-machine ``SnorlaxServer`` collection policy with the
-network as its transport: every ``TraceRequest`` of
-``collect_traces_via`` becomes a frame to an idle endpoint running the
-same program (step 8), and the CPU-bound ``LazyDiagnosis`` runs on the
-bounded worker pool of :mod:`repro.fleet.jobs`.
+network as its transport: every speculative wave of
+``collect_traces_via`` is striped over the live endpoints running the
+same program, one batch frame per endpoint (step 8), and the CPU-bound
+``LazyDiagnosis`` runs on the bounded worker pool of
+:mod:`repro.fleet.jobs`.
 
 Because trace collection is deterministic in (seed, breakpoints, skip)
 and endpoint executions are deterministic in the seed, the fleet's
@@ -65,6 +66,10 @@ from repro.obs.tracer import NULL_TRACER
 from repro.provenance import EvidenceGraph, build_evidence_graph, report_key
 from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
 from repro.runtime.server import SnorlaxServer
+
+# cap on trace requests per agent per wave round: keeps one slow
+# endpoint from hoarding a whole wave, and bounds the reply budget
+AGENT_BATCH_MAX = 8
 
 
 def failure_signature(env: FailureEnvelope) -> str:
@@ -202,9 +207,6 @@ class FleetServer:
         request_timeout: float = 120.0,
         caches: DiagnosisCaches | None = None,
         enable_caches: bool = True,
-        collection_parallelism: int = 1,
-        collection_batching: bool = True,
-        collection_batch_window: int = 8,
         stopping: str = "fixed",
         stability_window: int = 3,
         adaptive_min_traces: int = 4,
@@ -246,14 +248,6 @@ class FleetServer:
         # bound a started frame's payload: a corrupted length field must
         # sever the connection, not wedge its reader forever
         self.frame_timeout = frame_timeout
-        self.collection_parallelism = collection_parallelism
-        # batched collection ships whole speculative waves, one frame per
-        # agent chunk, instead of one round-trip per execution; the
-        # evidence consumed is byte-identical to the serial loop's
-        self.collection_batching = collection_batching
-        # cap on requests per agent per wave (keeps one slow endpoint
-        # from hoarding a whole wave, and bounds the reply budget)
-        self.collection_batch_window = max(1, collection_batch_window)
         # adaptive stopping config, forwarded to the per-job SnorlaxServer
         self.stopping = stopping
         self.stability_window = stability_window
@@ -537,18 +531,6 @@ class FleetServer:
                 elif isinstance(msg, FailureEnvelope):
                     conn.last_seen = self._now()
                     await self._on_failure(conn, msg, request_id)
-                elif isinstance(msg, TraceResponse):
-                    conn.last_seen = self._now()
-                    future = conn.pending.pop(request_id, None)
-                    if future is not None and not future.done():
-                        self.metrics.inc("trace_responses_received")
-                        future.set_result(msg)
-                    else:
-                        # the request timed out and was rerouted; the
-                        # late answer is dropped (the rerouted run is
-                        # deterministic in the seed, so no evidence
-                        # differs)
-                        self.metrics.inc("orphan_trace_responses")
                 elif isinstance(msg, TraceBatchResponse):
                     conn.last_seen = self._now()
                     future = conn.pending.pop(request_id, None)
@@ -558,6 +540,10 @@ class FleetServer:
                         )
                         future.set_result(msg)
                     else:
+                        # the chunk timed out and was rerouted; the late
+                        # answer is dropped (the rerouted runs are
+                        # deterministic in the seed, so no evidence
+                        # differs)
                         self.metrics.inc("orphan_trace_responses")
                 elif isinstance(msg, Goodbye):
                     break
@@ -992,7 +978,6 @@ class FleetServer:
             module,
             config=self.config,
             success_traces_wanted=self.success_traces_wanted,
-            collection_parallelism=self.collection_parallelism,
             stopping=self.stopping,
             stability_window=self.stability_window,
             adaptive_min_traces=self.adaptive_min_traces,
@@ -1003,21 +988,6 @@ class FleetServer:
             obs=obs,
         )
         snorlax.stats.failing_traces += 1
-
-        def transport(req: TraceRequest) -> TraceResponse:
-            try:
-                return self._remote_request(env.bug_id, req)
-            except FleetError:
-                self.metrics.inc("trace_requests_failed")
-                return TraceResponse(
-                    label=req.label, outcome="unreachable", sample=None
-                )
-
-        batch_transport = None
-        if self.collection_batching:
-
-            def batch_transport(requests):
-                return self._remote_batch(env.bug_id, requests)
 
         # evidence memoization: collection is deterministic in (module,
         # failing seed, policy), so a failure recurring across the fleet
@@ -1043,10 +1013,9 @@ class FleetServer:
                     if evidence_key is not None:
                         self.metrics.inc("evidence_cache_misses")
                     successes = snorlax.collect_traces_via(
-                        transport,
+                        lambda requests: self._remote_batch(env.bug_id, requests),
                         env.notification.failing_uid,
                         self.start_seed,
-                        send_batch=batch_transport,
                         failing_sample=env.sample,
                     )
                     # adaptive stopping satisfied early is sufficiency,
@@ -1104,93 +1073,25 @@ class FleetServer:
         self.metrics.inc("diagnoses_completed")
         return report
 
-    def _remote_request(self, bug_id: str, request: TraceRequest) -> TraceResponse:
-        """Bridge a worker thread's TraceRequest onto the event loop.
-
-        A timeout here cancels the loop-side coroutine (its ``finally``
-        cleans the pending map) instead of leaking a forever-running
-        request against a hung endpoint."""
-        if self._loop is None:
-            raise FleetError("fleet server is not running")
-        future = asyncio.run_coroutine_threadsafe(
-            self._remote_request_async(bug_id, request), self._loop
-        )
-        try:
-            # grace so the loop-side wall clock (same budget) fires first
-            return future.result(timeout=self.request_timeout + 5.0)
-        except FuturesTimeoutError:
-            future.cancel()
-            self.metrics.inc("trace_requests_abandoned")
-            raise FleetError(
-                f"trace request to {bug_id!r} abandoned after "
-                f"{self.request_timeout:.0f}s"
-            ) from None
-
-    async def _remote_request_async(
-        self, bug_id: str, request: TraceRequest
-    ) -> TraceResponse:
-        """Send to the next idle-ish endpoint of this program; an agent
-        dying mid-request, answering garbage, or hanging just reroutes
-        the (deterministic) run to another endpoint.
-
-        Bounded by wall clock (``request_timeout``) rather than a fixed
-        attempt count, with capped exponential backoff between reroute
-        attempts so a fleet-wide outage is polled, not busy-spun."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.request_timeout
-        failures = 0
-        while True:
-            conn = self._pick_agent(bug_id)
-            if conn is None:
-                if not await self._reroute_pause(deadline, failures):
-                    break
-                failures += 1
-                continue
-            request_id = next(self._req_ids)
-            response_future: asyncio.Future = loop.create_future()
-            conn.pending[request_id] = response_future
-            try:
-                conn.writer.write(encode_frame(request, request_id))
-                await conn.writer.drain()
-                self.metrics.inc("trace_requests_sent")
-                reply_budget = min(
-                    self.trace_reply_timeout, max(0.0, deadline - loop.time())
-                )
-                return await asyncio.wait_for(response_future, reply_budget)
-            except asyncio.TimeoutError:
-                self.metrics.inc("trace_request_timeouts")
-                failures += 1
-            except (FleetError, ConnectionError, OSError):
-                self.metrics.inc("trace_request_reroutes")
-                failures += 1
-            finally:
-                # on success the handler already popped it; on timeout,
-                # reroute, or cancellation from _remote_request this is
-                # what keeps conn.pending from leaking futures
-                conn.pending.pop(request_id, None)
-            if not await self._reroute_pause(deadline, failures):
-                break
-        raise FleetError(
-            f"no endpoint for {bug_id!r} answered a trace request within "
-            f"{self.request_timeout:.0f}s"
-        )
-
     def _remote_batch(
         self, bug_id: str, requests: list[TraceRequest]
     ) -> list[TraceResponse]:
         """Bridge a worker thread's speculative wave onto the event loop.
 
         Always returns positional responses: an item no endpoint answered
-        within the budget comes back as ``outcome="unreachable"`` with no
-        sample, which the collection policy consumes as a miss — exactly
-        the per-request transport's failure semantics, so batched and
-        serial collection degrade identically."""
+        within ``request_timeout`` comes back as ``outcome="unreachable"``
+        with no sample, which the collection policy consumes as a miss
+        (the attempt is spent, the next seed is tried).  A timeout here
+        cancels the loop-side coroutine, whose ``finally`` blocks clean
+        the pending maps, instead of leaking requests against a hung
+        endpoint."""
         if self._loop is None:
             raise FleetError("fleet server is not running")
         future = asyncio.run_coroutine_threadsafe(
             self._remote_batch_async(bug_id, list(requests)), self._loop
         )
         try:
+            # grace so the loop-side wall clock (same budget) fires first
             return future.result(timeout=self.request_timeout + 5.0)
         except FuturesTimeoutError:
             future.cancel()
@@ -1206,14 +1107,18 @@ class FleetServer:
         """Fan one speculative wave across every live endpoint at once.
 
         The wave is striped over the live agents (at most
-        ``collection_batch_window`` requests per agent per round), each
+        ``AGENT_BATCH_MAX`` requests per agent per round), each
         chunk ships as a single :class:`TraceBatchRequest` frame, and the
         chunk sends/replies run concurrently under ``asyncio.gather`` —
         one round-trip depth per wave instead of one per execution.  A
         chunk that times out, lands on a dying connection, or comes back
         malformed re-enters the pending pool and is re-striped over
         whoever is still alive (the runs are deterministic in the seed,
-        so a re-run answers identically)."""
+        so a re-run answers identically).
+
+        Bounded by wall clock (``request_timeout``) rather than a fixed
+        attempt count, with capped exponential backoff between reroute
+        rounds so a fleet-wide outage is polled, not busy-spun."""
         responses: list[TraceResponse | None] = [None] * len(requests)
         pending = list(range(len(requests)))
         loop = asyncio.get_running_loop()
@@ -1227,23 +1132,20 @@ class FleetServer:
                 if not await self._reroute_pause(deadline, failures):
                     break
                 continue
-            # rotate like _pick_agent so reruns don't pin to the list
-            # head, and push endpoints whose last chunk went unanswered
+            # rotate round-robin so reruns don't pin to the list head,
+            # and push endpoints whose last chunk went unanswered
             # to the back — a hung-but-connected agent must not swallow
             # a narrow rerun round over and over
             start = next(self._rr[bug_id]) % len(agents)
             agents = agents[start:] + agents[:start]
             agents.sort(key=lambda c: id(c) in suspect)
-            take = min(len(pending), self.collection_batch_window * len(agents))
+            take = min(len(pending), AGENT_BATCH_MAX * len(agents))
             assign = pending[:take]
             # fill frames before fanning wider: a small wave rides one
             # endpoint as a single full frame instead of 1-request
             # frames sprayed across the whole fleet (same responses
             # either way — the stripe only changes who runs what)
-            fanout = min(
-                len(agents),
-                -(-take // self.collection_batch_window),
-            )
+            fanout = min(len(agents), -(-take // AGENT_BATCH_MAX))
             chunks = [
                 (agents[j], assign[j::fanout])
                 for j in range(fanout)
@@ -1332,15 +1234,3 @@ class FleetServer:
             return False
         await asyncio.sleep(delay)
         return True
-
-    def _pick_agent(self, bug_id: str) -> AgentConn | None:
-        conns = [c for c in self._agents.get(bug_id, []) if c.alive]
-        if not conns:
-            return None
-        # round-robin, preferring endpoints with no request in flight
-        start = next(self._rr[bug_id]) % len(conns)
-        rotated = conns[start:] + conns[:start]
-        for conn in rotated:
-            if not conn.pending:
-                return conn
-        return rotated[0]

@@ -40,11 +40,6 @@ class FleetConfig:
     max_pending: int = 8
     success_traces_wanted: int = 10
     cache_enabled: bool = True
-    collection_parallelism: int = 1
-    # -- pipelined collection ----------------------------------------------
-    # batch speculative waves into one frame per agent chunk (step 8)
-    collection_batching: bool = True
-    collection_batch_window: int = 8  # max requests per agent per round
     # "fixed": stop at success_traces_wanted; "stable-top": stop when the
     # top-ranked pattern is stable across stability_window samples
     stopping: str = "fixed"
@@ -335,9 +330,6 @@ def run_fleet(
         metrics=metrics,
         caches=caches,
         enable_caches=cfg.cache_enabled,
-        collection_parallelism=cfg.collection_parallelism,
-        collection_batching=cfg.collection_batching,
-        collection_batch_window=cfg.collection_batch_window,
         stopping=cfg.stopping,
         stability_window=cfg.stability_window,
         adaptive_min_traces=cfg.adaptive_min_traces,
@@ -539,9 +531,6 @@ def _run_sharded(
         success_traces_wanted=cfg.success_traces_wanted,
         caches=caches,
         enable_caches=cfg.cache_enabled,
-        collection_parallelism=cfg.collection_parallelism,
-        collection_batching=cfg.collection_batching,
-        collection_batch_window=cfg.collection_batch_window,
         stopping=cfg.stopping,
         stability_window=cfg.stability_window,
         adaptive_min_traces=cfg.adaptive_min_traces,

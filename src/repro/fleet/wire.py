@@ -18,8 +18,10 @@ whose checksum does not match its bytes (truncation, corruption) raises
 :class:`~repro.errors.WireError` rather than deserializing garbage.
 
 ``request_id`` correlates responses with requests on a multiplexed
-connection: the server tags each :class:`TraceRequest` it sends, and the
-agent echoes the id on the :class:`TraceResponse`.
+connection: the server tags each :class:`TraceBatchRequest` it sends,
+and the agent echoes the id on the :class:`TraceBatchResponse`.
+:class:`TraceRequest` and :class:`TraceResponse` travel only inside
+those batch frames.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ MAX_PAYLOAD = 64 * 1024 * 1024  # sanity bound; a 64 KB ring is ~1000x smaller
 class MsgType(IntEnum):
     HELLO = 1
     FAILURE = 2
-    TRACE_REQUEST = 3
-    TRACE_RESPONSE = 4
+    # 3 and 4 (single trace request/response frames) are retired and
+    # reserved: a frame carrying either decodes to a WireError
     RESULT = 5
     REJECT = 6
     GOODBYE = 7
@@ -441,10 +443,6 @@ def _encode_payload(msg: Any) -> tuple[MsgType, dict]:
             },
             "sample": sample_to_dict(msg.sample),
         }
-    if isinstance(msg, TraceRequest):
-        return MsgType.TRACE_REQUEST, _trace_request_to_dict(msg)
-    if isinstance(msg, TraceResponse):
-        return MsgType.TRACE_RESPONSE, _trace_response_to_dict(msg)
     if isinstance(msg, TraceBatchRequest):
         return MsgType.TRACE_BATCH_REQUEST, {
             "requests": [_trace_request_to_dict(r) for r in msg.requests],
@@ -496,10 +494,6 @@ def _decode_payload(msg_type: int, d: dict) -> Any:
             ),
             sample=sample_from_dict(d["sample"]),
         )
-    if msg_type == MsgType.TRACE_REQUEST:
-        return _trace_request_from_dict(d)
-    if msg_type == MsgType.TRACE_RESPONSE:
-        return _trace_response_from_dict(d)
     if msg_type == MsgType.TRACE_BATCH_REQUEST:
         return TraceBatchRequest(
             requests=tuple(_trace_request_from_dict(r) for r in d["requests"]),

@@ -16,8 +16,8 @@ Design constraints, in order:
   is off — the Table 4 numbers must not move.
 * **Thread-safe.** The current-span stack is thread-local (each worker
   thread nests its own spans correctly); the finished-span list is
-  locked.  Cross-thread parentage — a speculative collection batch
-  fanned out to pool threads — is explicit: pass ``parent=span``.
+  locked.  Cross-thread parentage — work fanned out to pool threads —
+  is explicit: pass ``parent=span``.
 * **Monotonic.** Durations come from ``perf_counter_ns``; wall-clock
   never enters a span, so traces from machines with stepping clocks
   still order correctly.

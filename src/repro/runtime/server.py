@@ -22,12 +22,10 @@ from repro.obs import Observability, render_flight_recorder, resolve_obs
 from repro.runtime.client import ClientRun, SnorlaxClient
 from repro.runtime.protocol import TraceRequest, TraceResponse
 
-TraceTransport = Callable[[TraceRequest], TraceResponse]
-"""How the server reaches a client: in-process call or network hop."""
-
-BatchTraceTransport = Callable[[list[TraceRequest]], list[TraceResponse]]
-"""A transport that delivers a whole speculative wave at once and
-returns positional responses — one fleet round-trip per wave."""
+TraceTransport = Callable[[list[TraceRequest]], list[TraceResponse]]
+"""How the server reaches clients: one call delivers a whole speculative
+wave and returns positional responses — an in-process map over
+``handle_trace_request``, or one fleet round-trip per wave."""
 
 
 def sample_from_run(label: str, run: ClientRun) -> TraceSample:
@@ -53,19 +51,17 @@ class ServerStats:
 
 
 class _CollectionState:
-    """The serial collection policy, factored out of the transport loop.
+    """The step-8 collection policy, factored out of the transport loop.
 
-    Every collection mode — serial, thread-parallel, batched — shares
-    this one object: :meth:`speculate` derives request parameters from
-    the attempt index and current breakpoint set alone, and
-    :meth:`consume` applies responses in attempt order.  When consuming
-    changes the policy state (breakpoint widening fired, or enough
-    samples arrived) it returns True and the caller discards the rest of
-    its speculated wave *without* counting those attempts — the next
-    wave re-speculates the same attempt indices against the new state.
-    That is the whole evidence-equivalence argument: any transport that
-    consumes in attempt order and discards on state change gathers
-    byte-identical samples.
+    :meth:`speculate` derives request parameters from the attempt index
+    and current breakpoint set alone, and :meth:`consume` applies
+    responses in attempt order.  When consuming changes the policy state
+    (breakpoint widening fired, or enough samples arrived) it returns
+    True and the caller discards the rest of its speculated wave
+    *without* counting those attempts — the next wave re-speculates the
+    same attempt indices against the new state.  That is the whole
+    evidence-equivalence argument: the samples gathered are those of
+    the one-request-at-a-time loop, whatever the wave size or transport.
     """
 
     def __init__(
@@ -170,7 +166,7 @@ class _StreamingDecoder:
         self._server = server
         self._registry = registry
         self._pool = ThreadPoolExecutor(
-            max_workers=max(2, server.collection_parallelism),
+            max_workers=2,
             thread_name_prefix="decode",
         )
 
@@ -242,9 +238,6 @@ class SnorlaxServer:
     # what a fleet does when endpoints are scarce or the network is bad
     collection_deadline_s: float | None = None
     min_success_traces: int = 1
-    # >1 speculates trace requests concurrently (the evidence gathered is
-    # byte-identical to serial collection — see _collect_parallel)
-    collection_parallelism: int = 1
     # "fixed" collects success_traces_wanted samples; "stable-top" stops
     # early once the top-ranked pattern is unchanged across
     # stability_window consecutive samples (success_traces_wanted stays
@@ -308,18 +301,6 @@ class SnorlaxServer:
         self.last_pipeline = result.pipeline
         return result
 
-    def make_pipeline(self) -> LazyDiagnosis:
-        """A pipeline bound to this server's config and shared caches."""
-        pipeline = LazyDiagnosis(
-            self.module,
-            self.config,
-            analysis_cache=self.analysis_cache,
-            trace_cache=self.trace_cache,
-            obs=self.obs,
-        )
-        self.last_pipeline = pipeline
-        return pipeline
-
     def collect_successful_traces(
         self,
         client: SnorlaxClient,
@@ -327,20 +308,38 @@ class SnorlaxServer:
         start_seed: int,
         failing_sample: TraceSample | None = None,
     ) -> list[TraceSample]:
-        """Step 8 against an in-process client (see collect_traces_via)."""
+        """Step 8 against an in-process client: each wave runs request
+        by request, one ``trace_request`` span per execution."""
+        tracer = resolve_obs(self.obs).tracer
+
+        def send_batch(requests: list[TraceRequest]) -> list[TraceResponse]:
+            return [self._traced_request(tracer, client, r) for r in requests]
+
         return self.collect_traces_via(
-            lambda req: self.handle_trace_request(client, req),
-            failing_uid,
-            start_seed,
-            failing_sample=failing_sample,
+            send_batch, failing_uid, start_seed, failing_sample=failing_sample
         )
+
+    def _traced_request(
+        self, tracer, client: SnorlaxClient, request: TraceRequest
+    ) -> TraceResponse:
+        with tracer.span(
+            "trace_request",
+            seed=request.seed,
+            skip=request.breakpoint_skip,
+            breakpoints=len(request.breakpoint_uids),
+        ) as span:
+            resp = self.handle_trace_request(client, request)
+            if resp.sample is None:
+                span.set(outcome="miss")
+            else:
+                span.set(outcome="failing" if resp.sample.failing else "ok")
+        return resp
 
     def collect_traces_via(
         self,
-        send: TraceTransport,
+        send_batch: TraceTransport,
         failing_uid: int,
         start_seed: int,
-        send_batch: BatchTraceTransport | None = None,
         failing_sample: TraceSample | None = None,
     ) -> list[TraceSample]:
         """Step 8: successful-execution traces at the failure location.
@@ -348,22 +347,15 @@ class SnorlaxServer:
         Tries the failure PC first; if no successful run ever reaches it,
         widens the breakpoint to predecessor blocks, nearest first.
 
-        ``send`` delivers one :class:`TraceRequest` to a client and
-        returns its :class:`TraceResponse` — the in-process call for the
-        single-machine runtime, a network round-trip for ``repro.fleet``.
-        Collection is deterministic in (seed, breakpoints, skip), so the
-        transport — and which endpoint serves each request — never
-        changes the evidence gathered.
+        ``send_batch`` delivers one speculative wave of requests and
+        returns positional responses — the in-process map of
+        :meth:`collect_successful_traces`, or one network round-trip for
+        ``repro.fleet``.  Responses are consumed in attempt order through
+        :class:`_CollectionState`, and collection is deterministic in
+        (seed, breakpoints, skip), so neither the transport, the wave
+        size nor which endpoint serves each request changes the evidence
+        gathered.  Two more layers, both evidence-invisible:
 
-        Three pipelined layers, all evidence-invisible:
-
-        * ``send_batch`` delivers a whole speculative wave in one call
-          (the fleet fans it across every live agent) and takes priority
-          over per-request parallelism; ``collection_parallelism > 1``
-          overlaps individual round-trips on a thread pool instead.
-          Both consume responses in attempt order through the one
-          :class:`_CollectionState` policy, so the samples gathered are
-          byte-identical to the serial loop's.
         * when ``trace_cache`` is set, every sample starts decoding the
           moment its response is consumed (a small pool), so decode
           finishes with collection instead of after it.
@@ -374,20 +366,12 @@ class SnorlaxServer:
         """
         obs = resolve_obs(self.obs)
         stop_rule = self._make_stop_rule(failing_sample)
-        mode = (
-            "batched"
-            if send_batch is not None
-            else ("parallel" if self.collection_parallelism > 1 else "serial")
-        )
         with obs.tracer.span(
             "collect_traces",
             failing_uid=failing_uid,
             wanted=self.success_traces_wanted,
-            parallelism=self.collection_parallelism,
-            mode=mode,
             stopping=self.stopping,
         ) as cspan:
-            send = self._traced_transport(send, obs.tracer, cspan)
             state = _CollectionState(self, failing_uid, start_seed, stop_rule)
             self.last_collection = state
             decoder = None
@@ -400,51 +384,22 @@ class SnorlaxServer:
 
             started = perf_counter()
             try:
-                if send_batch is not None:
-                    samples = self._collect_batched(send_batch, state)
-                elif self.collection_parallelism > 1:
-                    samples = self._collect_parallel(send, state)
-                else:
-                    samples = self._collect_serial(send, state)
+                while not state.done:
+                    wave = self._batch_window(state)
+                    requests = [state.speculate(i) for i in range(wave)]
+                    for request, resp in zip(requests, send_batch(requests)):
+                        if state.consume(request, resp):
+                            break  # rest of the wave is stale
             finally:
                 if decoder is not None:
                     decoder.close()
             obs.registry.observe("stage_collect", perf_counter() - started)
             cspan.set(
-                collected=len(samples),
+                collected=len(state.samples),
                 attempts=state.attempts,
                 widened_to=state.widened_to,
             )
-        return samples
-
-    def _traced_transport(
-        self, send: TraceTransport, tracer, parent
-    ) -> TraceTransport:
-        """Wrap a transport so every step-8 round-trip becomes a
-        ``trace_request`` span.  Parentage is explicit: speculative
-        batches run on pool threads, where the thread-local stack would
-        not see the collection span."""
-        if not tracer.enabled:
-            return send
-
-        def traced(request: TraceRequest) -> TraceResponse:
-            with tracer.span(
-                "trace_request",
-                parent=parent,
-                seed=request.seed,
-                skip=request.breakpoint_skip,
-                breakpoints=len(request.breakpoint_uids),
-            ) as span:
-                resp = send(request)
-                if resp.sample is None:
-                    span.set(outcome="miss")
-                else:
-                    span.set(
-                        outcome="failing" if resp.sample.failing else "ok"
-                    )
-            return resp
-
-        return traced
+        return state.samples
 
     def _make_stop_rule(self, failing_sample: TraceSample | None):
         if self.stopping == "fixed":
@@ -466,54 +421,8 @@ class SnorlaxServer:
             min_samples=self.adaptive_min_traces,
         )
 
-    def _collect_serial(
-        self, send: TraceTransport, state: _CollectionState
-    ) -> list[TraceSample]:
-        while not state.done:
-            request = state.speculate(0)
-            state.consume(request, send(request))
-        return state.samples
-
-    def _collect_parallel(
-        self, send: TraceTransport, state: _CollectionState
-    ) -> list[TraceSample]:
-        """Speculative thread-pool collection, serial-equivalent by
-        design: whole waves are issued concurrently, then consumed in
-        attempt order through the shared :class:`_CollectionState`
-        policy (see its docstring for the equivalence argument)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        width = self.collection_parallelism
-        with ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="collect"
-        ) as pool:
-            while not state.done:
-                wave = min(width, self.max_collection_attempts - state.attempts)
-                requests = [state.speculate(i) for i in range(wave)]
-                for request, resp in zip(requests, pool.map(send, requests)):
-                    if state.consume(request, resp):
-                        break  # rest of the wave is stale
-        return state.samples
-
-    def _collect_batched(
-        self, send_batch: BatchTraceTransport, state: _CollectionState
-    ) -> list[TraceSample]:
-        """Wave-at-a-time collection over a batch transport: one call
-        ships the whole speculative wave (the fleet fans it across every
-        live agent in one round-trip) and the positional responses are
-        consumed in attempt order — the same policy, so the same
-        evidence."""
-        while not state.done:
-            wave = self._batch_window(state)
-            requests = [state.speculate(i) for i in range(wave)]
-            responses = send_batch(requests)
-            for request, resp in zip(requests, responses):
-                if state.consume(request, resp):
-                    break  # rest of the wave is stale
-        return state.samples
-
     def _batch_window(self, state: _CollectionState) -> int:
-        """How far ahead to speculate in one batched wave: what fixed
+        """How far ahead to speculate in one wave: what fixed
         counting still needs (or the stop rule's useful lookahead) plus
         margin for seeds that miss the armed breakpoint, clamped to the
         attempt cap.  The window only sizes the wave; responses are

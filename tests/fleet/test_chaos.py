@@ -59,7 +59,7 @@ def _drive(engine, frames):
 
 
 def test_fault_stream_is_deterministic_per_endpoint():
-    from repro.fleet.wire import encode_frame
+    from repro.fleet.wire import TraceBatchResponse, encode_frame
     from repro.runtime.protocol import TraceResponse
 
     plan = FaultPlan(
@@ -67,7 +67,12 @@ def test_fault_stream_is_deterministic_per_endpoint():
         crash_rate=0.2, max_crashes_per_agent=2,
     )
     frames = [
-        encode_frame(TraceResponse(label=f"s-{i}", outcome="success", sample=None), i)
+        encode_frame(
+            TraceBatchResponse(
+                responses=(TraceResponse(label=f"s-{i}", outcome="success"),)
+            ),
+            i,
+        )
         for i in range(50)
     ]
     sent_a, counts_a = _drive(plan.engine("agent-007"), frames)
@@ -196,23 +201,6 @@ def test_batched_collection_survives_drop_and_delay(in_process_digests):
     assert counters.get("trace_batches_sent", 0) > 0
     for signature, digest in result.digests.items():
         assert not digest["degraded"], signature
-        assert digest == in_process_digests[signature], signature
-
-
-def test_unbatched_fleet_matches_in_process_digests(in_process_digests):
-    # regression for the per-request transport: disabling batching must
-    # not change a byte of any digest
-    config = FleetConfig(
-        agents=8,
-        bug_ids=("aget-2",),
-        reporters_per_bug=1,
-        workers=2,
-        collection_batching=False,
-    )
-    result = run_fleet(config, metrics=FleetMetrics())
-    assert not [o for o in result.outcomes if o.error]
-    assert result.metrics["counters"].get("trace_batches_sent", 0) == 0
-    for signature, digest in result.digests.items():
         assert digest == in_process_digests[signature], signature
 
 

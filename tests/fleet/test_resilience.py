@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.errors import FleetError
 from repro.fleet import (
     DiagnosisJobQueue,
     FleetAgent,
@@ -144,9 +143,15 @@ def test_request_fails_cleanly_when_every_endpoint_hangs(custom_module):
     try:
         assert _wait_for(lambda: len(_conns(server)) == 1)
         hung_conn = _conns(server)[0]
-        request = TraceRequest(label="probe", seed=1, breakpoint_uids=(2,))
-        with pytest.raises(FleetError, match="within"):
-            server._remote_request(BUG, request)
+        requests = [
+            TraceRequest(label=f"probe-{i}", seed=i, breakpoint_uids=(2,))
+            for i in range(3)
+        ]
+        responses = server._remote_batch(BUG, requests)
+        # every item comes back positionally as a miss, none is lost
+        assert [r.label for r in responses] == [r.label for r in requests]
+        assert all(r.outcome == "unreachable" for r in responses)
+        assert all(r.sample is None for r in responses)
         assert hung_conn.pending == {}  # the timeout cleaned up behind itself
         assert server.metrics.counter("trace_request_timeouts") >= 1
     finally:
@@ -159,8 +164,8 @@ def test_no_endpoint_at_all_fails_with_backoff_not_spin(custom_module):
     try:
         request = TraceRequest(label="probe", seed=1, breakpoint_uids=(2,))
         started = time.perf_counter()
-        with pytest.raises(FleetError):
-            server._remote_request("no-such-bug", request)
+        responses = server._remote_batch("no-such-bug", [request])
+        assert [r.outcome for r in responses] == ["unreachable"]
         # bounded by the wall clock, and the loop slept between attempts
         # instead of spinning (a spin would still return fast — what we
         # pin here is that the budget, not an attempt count, ended it)

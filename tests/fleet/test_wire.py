@@ -1,6 +1,9 @@
 """Wire codec: round-trips for every message type, bytes-safety,
 checksum/truncation rejection."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.core.pipeline import TraceSample
@@ -105,12 +108,13 @@ def test_trace_request_roundtrip():
     req = TraceRequest(
         label="success-3", seed=10_042, breakpoint_uids=(12, 7, 9), breakpoint_skip=5
     )
-    assert roundtrip(req, request_id=77) == req
+    back = roundtrip(TraceBatchRequest(requests=(req,)), request_id=77)
+    assert back.requests == (req,)
 
 
 def test_trace_response_roundtrip_with_sample():
     resp = TraceResponse(label="success-0", outcome="success", sample=make_sample())
-    back = roundtrip(resp, request_id=3)
+    (back,) = roundtrip(TraceBatchResponse(responses=(resp,)), request_id=3).responses
     assert back.label == resp.label
     assert back.outcome == resp.outcome
     assert back.sample == resp.sample
@@ -118,7 +122,35 @@ def test_trace_response_roundtrip_with_sample():
 
 def test_trace_response_roundtrip_without_sample():
     resp = TraceResponse(label="s", outcome="step-limit", sample=None)
-    assert roundtrip(resp) == resp
+    assert roundtrip(TraceBatchResponse(responses=(resp,))).responses == (resp,)
+
+
+@pytest.mark.parametrize(
+    "msg_type, payload",
+    [
+        (3, {"label": "probe", "seed": 1, "breakpoint_uids": (2,),
+             "breakpoint_skip": 0}),
+        (4, {"label": "probe", "outcome": "success", "sample": None}),
+    ],
+)
+def test_retired_single_trace_frames_are_wire_errors(msg_type, payload):
+    # codes 3 and 4 (bare TraceRequest/TraceResponse frames) are
+    # reserved: a frame an old peer would send, checksum intact, is
+    # rejected rather than decoded
+    body = bytearray()
+    encode_value(payload, body)
+    header = struct.pack(
+        "!2sBBIII", b"SX", 1, msg_type, 7, len(body), zlib.crc32(body)
+    )
+    with pytest.raises(WireError, match="unknown message type"):
+        decode_frame(header + bytes(body))
+
+
+def test_bare_trace_messages_cannot_be_encoded():
+    with pytest.raises(WireError):
+        encode_frame(TraceRequest(label="probe", seed=1))
+    with pytest.raises(WireError):
+        encode_frame(TraceResponse(label="probe", outcome="success"))
 
 
 def test_trace_batch_request_roundtrip():
@@ -293,4 +325,6 @@ def test_bad_version_rejected():
 
 
 def make_request():
-    return TraceRequest(label="probe", seed=1, breakpoint_uids=(2,))
+    return TraceBatchRequest(
+        requests=(TraceRequest(label="probe", seed=1, breakpoint_uids=(2,)),)
+    )

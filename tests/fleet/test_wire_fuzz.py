@@ -17,6 +17,8 @@ from repro.fleet.wire import (
     MAX_DEPTH,
     MAX_PAYLOAD,
     Hello,
+    TraceBatchRequest,
+    TraceBatchResponse,
     decode_frame,
     decode_value,
     encode_frame,
@@ -34,12 +36,17 @@ def _frames():
     return [
         encode_frame(Hello(agent_id="fuzz", bug_id="aget-2"), 1),
         encode_frame(
-            TraceRequest(label="s-1", seed=9, breakpoint_uids=(2, 5),
-                         breakpoint_skip=1),
+            TraceBatchRequest(requests=(
+                TraceRequest(label="s-1", seed=9, breakpoint_uids=(2, 5),
+                             breakpoint_skip=1),
+            )),
             42,
         ),
         encode_frame(
-            TraceResponse(label="s-1", outcome="success", sample=make_sample()),
+            TraceBatchResponse(responses=(
+                TraceResponse(label="s-1", outcome="success",
+                              sample=make_sample()),
+            )),
             42,
         ),
     ]
@@ -272,6 +279,6 @@ def test_async_reader_reads_back_to_back_frames():
 
     assert asyncio.run(go()) == [
         ("Hello", 1),
-        ("TraceRequest", 42),
-        ("TraceResponse", 42),
+        ("TraceBatchRequest", 42),
+        ("TraceBatchResponse", 42),
     ]

@@ -12,6 +12,7 @@ from repro.runtime import (
     TraceRequest,
     classify,
 )
+from repro.runtime.server import _CollectionState
 
 SRC = """
 module t
@@ -161,80 +162,72 @@ def test_handle_trace_request_honors_breakpoint_skip(module, client):
     assert skipped.sample is None
 
 
-def test_parallel_collection_gathers_identical_evidence(module, client):
-    # Speculative parallel collection must be invisible in the evidence:
-    # same samples, same labels, same bytes as the serial policy — only
-    # wall-clock (and the number of *issued* requests) may differ.
-    failing = client.find_runs(True, 1)[0]
-    uid = failing.failure.failing_uid
-    serial = SnorlaxServer(module, success_traces_wanted=4)
-    base = serial.collect_successful_traces(client, uid, 5_000)
-    parallel = SnorlaxServer(
-        module, success_traces_wanted=4, collection_parallelism=3
+def _reference_collect(server, client, uid, start_seed, failing_sample=None):
+    """Step 8 one request at a time, straight through the collection
+    policy: the evidence wave collection must reproduce byte for byte."""
+    state = _CollectionState(
+        server, uid, start_seed, server._make_stop_rule(failing_sample)
     )
-    spec = parallel.collect_successful_traces(client, uid, 5_000)
-    assert [s.label for s in base] == [s.label for s in spec]
-    assert [s.buffers for s in base] == [s.buffers for s in spec]
-    assert [s.positions for s in base] == [s.positions for s in spec]
-    assert parallel.stats.success_traces == serial.stats.success_traces
+    while not state.done:
+        request = state.speculate(0)
+        state.consume(request, server.handle_trace_request(client, request))
+    return state.samples
 
 
 def test_batched_collection_gathers_identical_evidence(module, client):
-    # The batched transport (whole speculative waves in one frame) must
-    # be invisible in the evidence, exactly like thread parallelism.
+    # Speculative waves must be invisible in the evidence: same samples,
+    # same labels, same bytes as the one-request-at-a-time loop — only
+    # the number of *issued* requests may differ.
     failing = client.find_runs(True, 1)[0]
     uid = failing.failure.failing_uid
-    serial = SnorlaxServer(module, success_traces_wanted=4)
-    base = serial.collect_successful_traces(client, uid, 5_000)
-    batched = SnorlaxServer(module, success_traces_wanted=4)
-
-    def send_batch(requests):
-        return [batched.handle_trace_request(client, r) for r in requests]
-
-    spec = batched.collect_traces_via(
-        lambda req: batched.handle_trace_request(client, req),
-        uid,
-        5_000,
-        send_batch=send_batch,
-    )
-    assert [s.label for s in base] == [s.label for s in spec]
-    assert [s.buffers for s in base] == [s.buffers for s in spec]
-    assert [s.positions for s in base] == [s.positions for s in spec]
-    assert batched.stats.success_traces == serial.stats.success_traces
+    for stopping in ("fixed", "stable-top"):
+        reference = SnorlaxServer(module, success_traces_wanted=4, stopping=stopping)
+        failing_sample = reference.sample_from_run("failure", failing)
+        base = _reference_collect(reference, client, uid, 5_000, failing_sample)
+        batched = SnorlaxServer(module, success_traces_wanted=4, stopping=stopping)
+        spec = batched.collect_successful_traces(
+            client, uid, 5_000, failing_sample=failing_sample
+        )
+        assert [s.label for s in base] == [s.label for s in spec], stopping
+        assert [s.buffers for s in base] == [s.buffers for s in spec], stopping
+        assert [s.positions for s in base] == [s.positions for s in spec], stopping
+        assert batched.stats.success_traces == reference.stats.success_traces
 
 
 def test_adaptive_stopping_is_transport_invariant(module, client):
     # stable-top stopping is a pure function of the sample prefix: the
-    # serial and batched transports must stop at the same sample
+    # reference loop and wave collection must stop at the same sample,
+    # and fixed stopping must still collect the full count
     failing = client.find_runs(True, 1)[0]
     uid = failing.failure.failing_uid
-    collected = {}
-    for label, batch in (("serial", False), ("batched", True)):
-        server = SnorlaxServer(
-            module,
-            success_traces_wanted=10,
-            stopping="stable-top",
-            adaptive_min_traces=3,
-        )
-        failing_sample = server.sample_from_run("failure", failing)
-
-        def send_batch(requests, s=server):
-            return [s.handle_trace_request(client, r) for r in requests]
-
-        collected[label] = server.collect_traces_via(
-            lambda req, s=server: s.handle_trace_request(client, req),
-            uid,
-            5_000,
-            send_batch=send_batch if batch else None,
-            failing_sample=failing_sample,
-        )
-        assert server.last_collection is not None
-        assert server.last_collection.satisfied
-    serial, batched = collected["serial"], collected["batched"]
-    assert [s.label for s in serial] == [s.label for s in batched]
-    assert [s.buffers for s in serial] == [s.buffers for s in batched]
-    # adaptive stopping actually stopped early — fewer than the fixed cap
-    assert len(serial) < 10
+    for stopping in ("fixed", "stable-top"):
+        collected = {}
+        for label in ("reference", "batched"):
+            server = SnorlaxServer(
+                module,
+                success_traces_wanted=10,
+                stopping=stopping,
+                adaptive_min_traces=3,
+            )
+            failing_sample = server.sample_from_run("failure", failing)
+            if label == "reference":
+                collected[label] = _reference_collect(
+                    server, client, uid, 5_000, failing_sample
+                )
+            else:
+                collected[label] = server.collect_successful_traces(
+                    client, uid, 5_000, failing_sample=failing_sample
+                )
+                assert server.last_collection is not None
+                assert server.last_collection.satisfied
+        reference, batched = collected["reference"], collected["batched"]
+        assert [s.label for s in reference] == [s.label for s in batched]
+        assert [s.buffers for s in reference] == [s.buffers for s in batched]
+        if stopping == "stable-top":
+            # adaptive stopping actually stopped early — fewer than the cap
+            assert len(reference) < 10
+        else:
+            assert len(reference) == 10
 
 
 def test_server_caches_shared_across_diagnoses(module, client):
@@ -272,7 +265,7 @@ def test_collection_identical_via_message_api(module, client):
     direct = a.collect_successful_traces(client, uid, 5_000)
     b = SnorlaxServer(module, success_traces_wanted=4)
     via = b.collect_traces_via(
-        lambda req: b.handle_trace_request(client, req), uid, 5_000
+        lambda reqs: [b.handle_trace_request(client, r) for r in reqs], uid, 5_000
     )
     assert [s.label for s in direct] == [s.label for s in via]
     assert [s.buffers for s in direct] == [s.buffers for s in via]
