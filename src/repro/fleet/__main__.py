@@ -4,10 +4,11 @@ Spins up the fleet server plus N endpoint agents over real TCP sockets,
 lets several endpoints per bug hit their corpus bug and report it, and
 prints the fleet-wide diagnoses and service metrics.
 
-Exit codes: 0 clean; 1 agent errors; 2 bad input (e.g. an unknown bug
-id), or a fleet digest diverged from the in-process diagnosis of the
-same bug (the correctness tripwire — disable with
-``--no-verify-digests``).
+Exit codes: 0 clean; 1 agent errors; 2 bad input (an unknown bug id,
+or a fleet shape ``run_fleet`` refuses, such as fewer agents than bugs
+or ``--monitor`` with several shards), or a fleet digest diverged from
+the in-process diagnosis of the same bug (the correctness tripwire —
+disable with ``--no-verify-digests``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import sys
 
 from repro.corpus import bug as corpus_bug
-from repro.errors import ReproError
+from repro.errors import FleetError, ReproError
 from repro.fleet.chaos import FaultPlan
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.simulation import DEFAULT_BUGS, FleetConfig, run_fleet
@@ -129,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="run N fleet-server shards, consistent-hash routed by "
-        "failure signature (default: one server)",
+        "failure signature (default: one server; --monitor and "
+        "--dashboard-port need one)",
     )
     parser.add_argument(
         "--store",
@@ -299,7 +301,11 @@ def main(argv: list[str] | None = None) -> int:
         dashboard_port=args.dashboard_port,
     )
     metrics = FleetMetrics()
-    result = run_fleet(config, metrics=metrics)
+    try:
+        result = run_fleet(config, metrics=metrics)
+    except FleetError as exc:  # set-up refused the fleet shape or store
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     mismatches: list[str] = []
     if args.verify_digests:

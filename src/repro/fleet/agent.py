@@ -336,13 +336,6 @@ class FleetAgent:
                     ) from None
                 self.failure_resends += 1
 
-    def produce_and_report(
-        self, stop: threading.Event | None = None, start_seed: int = 0
-    ) -> DiagnosisResult:
-        """The full endpoint story: hit the bug in production, report it,
-        help collect evidence, receive the root cause."""
-        return self.report_failure(self.find_failure(start_seed), stop=stop)
-
 
 class MonitorLoop:
     """The always-on half of an endpoint: heartbeats + sampled telemetry.

@@ -61,7 +61,7 @@ from repro.fleet.wire import (
     read_frame_async,
 )
 from repro.ir.module import Module
-from repro.obs import MetricsHTTPServer, Observability, render_flight_recorder
+from repro.obs import Observability, render_flight_recorder
 from repro.obs.tracer import NULL_TRACER
 from repro.provenance import EvidenceGraph, build_evidence_graph, report_key
 from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
@@ -217,7 +217,6 @@ class FleetServer:
         min_success_traces: int = 1,
         frame_timeout: float = 30.0,
         obs: Observability | None = None,
-        metrics_port: int | None = None,
         store=None,
         collection_policy=None,
         validate: bool = False,
@@ -288,12 +287,6 @@ class FleetServer:
         self.obs = obs or Observability(
             tracer=NULL_TRACER, registry=self.metrics
         )
-        # optional Prometheus scrape endpoint (``--metrics-port``)
-        self.metrics_server: MetricsHTTPServer | None = None
-        if metrics_port is not None:
-            self.metrics_server = MetricsHTTPServer(
-                self.metrics, host=self.host, port=metrics_port
-            )
         self.jobs = DiagnosisJobQueue(
             workers=workers,
             max_pending=max_pending,
@@ -371,8 +364,6 @@ class FleetServer:
         self._ready.wait()
         if self._startup_error is not None:
             raise FleetError(f"fleet server failed to start: {self._startup_error}")
-        if self.metrics_server is not None:
-            self.metrics_server.start()
         if self.dashboard is not None:
             self.dashboard.start()
         return self.host, self.port
@@ -405,8 +396,6 @@ class FleetServer:
 
     def stop(self, drain: bool = True) -> None:
         """Stop intake, drain in-flight diagnoses, tear the loop down."""
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
         if self.dashboard is not None:
             self.dashboard.stop()
         loop = self._loop

@@ -144,8 +144,10 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 class MetricsHTTPServer:
     """A tiny scrape endpoint: ``GET /metrics`` serves the registry.
 
-    The fleet server starts one when given ``metrics_port`` (0 picks a
-    free port); ``port`` reports the bound port after :meth:`start`.
+    :func:`~repro.fleet.run_fleet` starts one over the fleet's shared
+    registry when ``FleetConfig.metrics_port`` is set (0 picks a free
+    port), whatever the shard count; ``port`` reports the bound port
+    after :meth:`start`.
     """
 
     def __init__(

@@ -10,7 +10,8 @@ diagnosed anywhere in the fleet is a store hit everywhere else.
 Layers::
 
     store     DiagnosisStore: the SQLite schema (reports / analyses /
-              traces), versioned with forward migrations
+              traces / evidence graphs), created at SCHEMA_VERSION;
+              a file at any other version is refused
     codec     rebindable serialization: points-to fixpoints are stored
               as node indices over the deterministic constraint
               enumeration and re-bound to the live module on load

@@ -17,9 +17,10 @@ One file holds the fleet's accumulated knowledge in three tiers:
   :class:`repro.core.cache.DecodedTraceCache`.
 
 The schema is versioned: ``meta.schema_version`` records what is on
-disk, and :data:`_MIGRATIONS` carries forward migrations that an open
-of an older file replays in order.  A fresh file is created at version
-1 and migrated up, so the migration path is exercised on every create.
+disk.  A fresh file is created at :data:`SCHEMA_VERSION` directly, and
+a file stamped with any other version is refused with
+:class:`~repro.errors.FleetError` — there is no migration chain, since
+no store outlives the build that wrote it.
 
 Writes use ``INSERT OR IGNORE``: tiers are content-keyed (an identical
 key means identical evidence), so the first write wins and repeats are
@@ -43,7 +44,11 @@ from repro.errors import FleetError
 
 SCHEMA_VERSION = 4
 
-_DDL_V1 = (
+# the schema at SCHEMA_VERSION.  A report row keeps the diagnosing
+# job's flight recorder and its repro.validate outcome (JSON); the
+# evidence_* tables hold each report's evidence graph (content-addressed
+# nodes + stage-stamped edges, see repro.provenance).
+_DDL = (
     """CREATE TABLE IF NOT EXISTS meta (
         key TEXT PRIMARY KEY,
         value TEXT NOT NULL
@@ -53,7 +58,9 @@ _DDL_V1 = (
         bug_id TEXT NOT NULL,
         digest TEXT NOT NULL,
         degraded INTEGER NOT NULL DEFAULT 0,
-        created_at REAL NOT NULL
+        created_at REAL NOT NULL,
+        flight_recorder TEXT,
+        validation TEXT
     )""",
     """CREATE TABLE IF NOT EXISTS analyses (
         module_fp TEXT NOT NULL,
@@ -72,37 +79,22 @@ _DDL_V1 = (
         created_at REAL NOT NULL,
         PRIMARY KEY (module_fp, tid, buffer_hash, mtc_period)
     )""",
+    """CREATE TABLE IF NOT EXISTS evidence_nodes (
+        report_key TEXT NOT NULL,
+        node_digest TEXT NOT NULL,
+        kind TEXT NOT NULL,
+        payload TEXT NOT NULL,
+        PRIMARY KEY (report_key, node_digest)
+    )""",
+    """CREATE TABLE IF NOT EXISTS evidence_edges (
+        report_key TEXT NOT NULL,
+        src TEXT NOT NULL,
+        dst TEXT NOT NULL,
+        stage TEXT NOT NULL,
+        span_id INTEGER,
+        PRIMARY KEY (report_key, src, dst, stage)
+    )""",
 )
-
-# version N -> statements that bring an N-schema file to N+1
-_MIGRATIONS: dict[int, tuple[str, ...]] = {
-    # v2: reports carry the flight recorder of the diagnosing job, so a
-    # stored root cause keeps its collection/analysis provenance
-    1: ("ALTER TABLE reports ADD COLUMN flight_recorder TEXT",),
-    # v3: reports carry their repro.validate outcome (status + witness
-    # schedules as JSON) so validated/refuted is queryable per row
-    2: ("ALTER TABLE reports ADD COLUMN validation TEXT",),
-    # v4: provenance — every report's evidence graph (content-addressed
-    # nodes + stage-stamped edges, see repro.provenance) is persisted
-    # and queryable via evidence_for(report_key)
-    3: (
-        """CREATE TABLE IF NOT EXISTS evidence_nodes (
-            report_key TEXT NOT NULL,
-            node_digest TEXT NOT NULL,
-            kind TEXT NOT NULL,
-            payload TEXT NOT NULL,
-            PRIMARY KEY (report_key, node_digest)
-        )""",
-        """CREATE TABLE IF NOT EXISTS evidence_edges (
-            report_key TEXT NOT NULL,
-            src TEXT NOT NULL,
-            dst TEXT NOT NULL,
-            stage TEXT NOT NULL,
-            span_id INTEGER,
-            PRIMARY KEY (report_key, src, dst, stage)
-        )""",
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ class DiagnosisStore:
             raise FleetError(f"cannot open diagnosis store {path!r}: {exc}")
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._migrate()
+        self._create_schema()
         self.report_stats = CacheStats()
         self.analysis_stats = CacheStats()
         self.trace_stats = CacheStats()
@@ -151,31 +143,30 @@ class DiagnosisStore:
 
     # -- schema ------------------------------------------------------------
 
-    def _migrate(self) -> None:
+    def _create_schema(self) -> None:
+        """Create the tables at :data:`SCHEMA_VERSION`, or refuse a file
+        stamped with any other version (there is no migration path).
+
+        Every statement is idempotent, so processes racing to create
+        the same file all end with one schema and one version row."""
         with self._lock, self._conn:
-            for ddl in _DDL_V1:
-                self._conn.execute(ddl)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-            version = int(row[0]) if row else 1
-            if version > SCHEMA_VERSION:
+            version = None
+            if self._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type='table' AND name='meta'"
+            ).fetchone():
+                row = self._conn.execute(
+                    "SELECT value FROM meta WHERE key='schema_version'"
+                ).fetchone()
+                version = int(row[0]) if row else None
+            if version is not None and version != SCHEMA_VERSION:
                 raise FleetError(
                     f"store {self.path!r} has schema v{version}; this build "
-                    f"understands up to v{SCHEMA_VERSION}"
+                    f"reads and writes only v{SCHEMA_VERSION}"
                 )
-            while version < SCHEMA_VERSION:
-                for statement in _MIGRATIONS[version]:
-                    try:
-                        self._conn.execute(statement)
-                    except sqlite3.OperationalError as exc:
-                        # replaying onto a file another process already
-                        # migrated: duplicate-column is the benign race
-                        if "duplicate column" not in str(exc):
-                            raise
-                version += 1
+            for ddl in _DDL:
+                self._conn.execute(ddl)
             self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES "
+                "INSERT OR IGNORE INTO meta (key, value) VALUES "
                 "('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )

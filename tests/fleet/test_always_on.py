@@ -17,9 +17,12 @@ import urllib.request
 
 import pytest
 
+from repro.corpus import bug
 from repro.fleet import (
     EwmaAnomalyDetector,
     FleetAgent,
+    FleetConfig,
+    FleetMetrics,
     FleetServer,
     Heartbeat,
     MonitorLoop,
@@ -27,6 +30,7 @@ from repro.fleet import (
     decode_frame,
     encode_frame,
     report_digest,
+    run_fleet,
 )
 from repro.fleet.shard import signature_for_failure
 from repro.ir import parse_module
@@ -446,3 +450,35 @@ def test_dashboard_serves_fleet_state(custom_module):
         assert excinfo.value.code == 404
     finally:
         server.stop()
+
+
+def test_monitored_run_fleet_matches_in_process():
+    # the monitored demo as one library call: endpoints heartbeat and
+    # sample through the whole run, the dashboard is served, and the
+    # reported digests equal the in-process diagnosis
+    bug_ids = ("pbzip2-n/a", "aget-2")
+    config = FleetConfig(
+        agents=6,
+        bug_ids=bug_ids,
+        reporters_per_bug=1,
+        workers=2,
+        monitoring=True,
+        dashboard_port=0,
+        heartbeat_interval_s=0.2,
+        sample_interval_s=0.5,
+        heartbeat_timeout_s=10.0,
+    )
+    result = run_fleet(config, metrics=FleetMetrics())
+    assert not [o for o in result.outcomes if o.error]
+    assert result.heartbeats_received > 0
+    assert result.monitor_samples_received > 0
+    assert result.dashboard_url is not None
+
+    expected = {}
+    for bug_id in bug_ids:
+        spec = bug(bug_id)
+        client = SnorlaxClient(spec.module(), spec.workload, entry=spec.entry)
+        failing = client.find_runs(True, 1)[0]
+        report = SnorlaxServer(spec.module()).diagnose(failing, client).report
+        expected[signature_for_failure(bug_id, failing)] = report_digest(report)
+    assert result.digests == expected

@@ -9,6 +9,7 @@ byte-identical to the fault-free in-process diagnosis.
 """
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -204,6 +205,36 @@ def test_batched_collection_survives_drop_and_delay(in_process_digests):
         assert digest == in_process_digests[signature], signature
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_outcome_fault_counts_sum_to_chaos_counters(shards):
+    # every endpoint an agent runs (one per shard for the population)
+    # reports its injected faults into that agent's outcome, so the
+    # per-agent census adds up to the run's chaos_* counters exactly
+    plan = FaultPlan(seed=3, delay_rate=0.5, max_delay_s=0.005, corrupt_rate=0.05)
+    config = FleetConfig(
+        agents=6,
+        bug_ids=("pbzip2-n/a",),
+        reporters_per_bug=1,
+        workers=1,
+        shards=shards,
+        chaos=plan,
+        trace_reply_timeout=2.0,
+        frame_timeout=5.0,
+    )
+    result = run_fleet(config, metrics=FleetMetrics())
+    assert not [o for o in result.outcomes if o.error]
+    from_outcomes = Counter()
+    for outcome in result.outcomes:
+        from_outcomes.update(outcome.faults_injected)
+    from_counters = {
+        k.removeprefix("chaos_"): v
+        for k, v in result.metrics["counters"].items()
+        if k.startswith("chaos_")
+    }
+    assert dict(from_outcomes) == from_counters
+    assert sum(from_outcomes.values()) == result.faults_injected > 0
+
+
 # -- validation under chaos -------------------------------------------------
 
 
@@ -288,7 +319,7 @@ def test_degraded_collection_is_flagged_not_failed(custom_module):
             "solo", "custom-readbeforeinit", custom_module, _workload, host, port
         )
         agent.connect()
-        result = agent.produce_and_report(stop)
+        result = agent.report_failure(agent.find_failure(), stop=stop)
         agent.close()
     finally:
         stop.set()
@@ -312,7 +343,7 @@ def test_fault_free_fleet_digest_is_not_degraded(custom_module):
             "solo", "custom-readbeforeinit", custom_module, _workload, host, port
         )
         agent.connect()
-        result = agent.produce_and_report(stop)
+        result = agent.report_failure(agent.find_failure(), stop=stop)
         agent.close()
     finally:
         stop.set()

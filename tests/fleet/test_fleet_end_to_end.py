@@ -47,7 +47,7 @@ def test_single_agent_fleet_matches_in_process(custom_module):
             "solo", "custom-readbeforeinit", custom_module, _workload, host, port
         )
         agent.connect()
-        result = agent.produce_and_report(stop)
+        result = agent.report_failure(agent.find_failure(), stop=stop)
         agent.close()
     finally:
         stop.set()

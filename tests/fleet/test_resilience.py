@@ -123,7 +123,7 @@ def test_hung_endpoint_times_out_reroutes_and_leaks_nothing(custom_module):
         agent = FleetAgent("live", BUG, custom_module, _workload,
                            server.host, server.port)
         agent.connect()
-        result = agent.produce_and_report(stop)
+        result = agent.report_failure(agent.find_failure(), stop=stop)
         agent.close()
         assert result.digest["diagnosed"]
         # the hung endpoint was tried, timed out, and cleaned up after
@@ -244,7 +244,7 @@ def test_diagnosis_survives_a_server_restart(custom_module):
         agent.connect()
         restarter = threading.Thread(target=restart_mid_collection, daemon=True)
         restarter.start()
-        result = agent.produce_and_report(stop)
+        result = agent.report_failure(agent.find_failure(), stop=stop)
         restarter.join(timeout=10)
         agent.close()
         assert restarted.is_set()

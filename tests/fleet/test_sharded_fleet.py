@@ -47,7 +47,7 @@ def _report_once(module, host, port, agent_id, stop):
     agent = FleetAgent(agent_id, BUG_ID, module, _workload, host, port)
     agent.connect()
     try:
-        return agent.produce_and_report(stop)
+        return agent.report_failure(agent.find_failure(), stop=stop)
     finally:
         agent.close()
 

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import FleetError
 from repro.obs import MetricsRegistry
 from repro.store import SCHEMA_VERSION, DiagnosisStore, scope_key
-from repro.store.store import _DDL_V1
 
 DIGEST = {"bug_kind": "order-violation", "failing_uid": 7, "diagnosed": True}
 
@@ -19,61 +18,6 @@ def test_fresh_store_is_at_current_schema(tmp_path):
             "reports": 0, "analyses": 0, "traces": 0,
             "evidence_nodes": 0, "evidence_edges": 0,
         }
-
-
-def test_v1_file_migrates_forward(tmp_path):
-    path = str(tmp_path / "old.db")
-    conn = sqlite3.connect(path)
-    with conn:
-        for ddl in _DDL_V1:
-            conn.execute(ddl)
-        conn.execute(
-            "INSERT INTO meta (key, value) VALUES ('schema_version', '1')"
-        )
-        # a v1 row (no flight_recorder column yet)
-        conn.execute(
-            "INSERT INTO reports (signature, bug_id, digest, degraded, "
-            "created_at) VALUES ('b|crash|1', 'b', '{}', 0, 0.0)"
-        )
-    conn.close()
-    with DiagnosisStore(path) as db:
-        assert db.schema_version == SCHEMA_VERSION
-        # the migrated column exists and reads back as NULL for old rows
-        report = db.get_report("b|crash|1")
-        assert report is not None
-        assert report.flight_recorder is None
-        # and new rows can populate it
-        assert db.put_report("b|crash|2", "b", DIGEST, flight_recorder="fr")
-        assert db.get_report("b|crash|2").flight_recorder == "fr"
-
-
-def test_v2_file_migrates_to_v3_with_validation_column(tmp_path):
-    from repro.store.store import _MIGRATIONS
-
-    path = str(tmp_path / "v2.db")
-    conn = sqlite3.connect(path)
-    with conn:
-        for ddl in _DDL_V1:
-            conn.execute(ddl)
-        for statement in _MIGRATIONS[1]:  # bring the file to v2 exactly
-            conn.execute(statement)
-        conn.execute(
-            "INSERT INTO meta (key, value) VALUES ('schema_version', '2')"
-        )
-        # a v2 row (no validation column yet)
-        conn.execute(
-            "INSERT INTO reports (signature, bug_id, digest, degraded, "
-            "created_at) VALUES ('b|crash|1', 'b', '{}', 0, 0.0)"
-        )
-    conn.close()
-    with DiagnosisStore(path) as db:
-        assert db.schema_version == SCHEMA_VERSION
-        old = db.get_report("b|crash|1")
-        assert old is not None
-        assert old.validation is None  # old rows read back as NULL
-        validation = {"status": "validated", "witnesses": [], "notes": []}
-        assert db.put_report("b|crash|2", "b", DIGEST, validation=validation)
-        assert db.get_report("b|crash|2").validation == validation
 
 
 def test_validation_roundtrips_and_defaults_to_none():
@@ -90,18 +34,21 @@ def test_validation_roundtrips_and_defaults_to_none():
 
 
 def test_future_schema_is_refused(tmp_path):
-    path = str(tmp_path / "future.db")
-    with DiagnosisStore(path):
-        pass
-    conn = sqlite3.connect(path)
-    with conn:
-        conn.execute(
-            "UPDATE meta SET value=? WHERE key='schema_version'",
-            (str(SCHEMA_VERSION + 1),),
-        )
-    conn.close()
-    with pytest.raises(FleetError):
-        DiagnosisStore(path)
+    # any version but the current one is refused, older ones included:
+    # the store is created at SCHEMA_VERSION and has no migration path
+    for version in (1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
+        path = str(tmp_path / f"v{version}.db")
+        with DiagnosisStore(path):
+            pass
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "UPDATE meta SET value=? WHERE key='schema_version'",
+                (str(version),),
+            )
+        conn.close()
+        with pytest.raises(FleetError, match=f"schema v{version}"):
+            DiagnosisStore(path)
 
 
 def test_report_roundtrip_and_idempotent_writes():
@@ -251,31 +198,3 @@ def test_evidence_stats_absorb_vocabulary():
         assert registry.counter("evidence_store_hits") == 1
         assert registry.counter("evidence_store_misses") == 1
         assert registry.counter("evidence_store_writes") == 1
-
-
-def test_v3_file_migrates_to_v4_with_evidence_tables(tmp_path):
-    from repro.store.store import _MIGRATIONS
-
-    path = str(tmp_path / "v3.db")
-    conn = sqlite3.connect(path)
-    with conn:
-        for ddl in _DDL_V1:
-            conn.execute(ddl)
-        for version in (1, 2):  # bring the file to v3 exactly
-            for statement in _MIGRATIONS[version]:
-                conn.execute(statement)
-        conn.execute(
-            "INSERT INTO meta (key, value) VALUES ('schema_version', '3')"
-        )
-        conn.execute(
-            "INSERT INTO reports (signature, bug_id, digest, degraded, "
-            "created_at) VALUES ('b|crash|1', 'b', '{}', 0, 0.0)"
-        )
-    conn.close()
-    graph = _graph()
-    with DiagnosisStore(path) as db:
-        assert db.schema_version == SCHEMA_VERSION
-        assert db.get_report("b|crash|1") is not None  # old rows survive
-        assert db.counts()["evidence_nodes"] == 0
-        assert db.put_evidence(graph)  # new tables are writable
-        assert db.evidence_for(graph.report_key).digest() == graph.digest()
